@@ -1,23 +1,15 @@
 //! Client pipelining benchmark: N concurrent callers against one TCP
-//! server, blocking runtime (one socket + one in-flight call per caller)
-//! versus the epoll/mux runtime (all callers multiplexed on one socket,
-//! N calls in flight). Rows:
-//!
-//! * `blocking/1_caller`, `blocking/8_callers` — thread-per-connection
-//!   stack; 8 callers cost 8 sockets and 8 parked server workers;
-//! * `mux/1_caller`, `mux/8_callers` — request-id pipelining; 8 callers
-//!   share one socket, and throughput comes from overlapping requests on
-//!   it rather than from more connections.
-//!
-//! The interesting comparison is `8_callers`: mux keeps per-connection
-//! server state constant while the blocking rows scale it linearly.
-//! Linux-only rows are skipped elsewhere (the reactor needs epoll).
+//! server, all multiplexed on one socket. Rows `mux/1_caller` and
+//! `mux/8_callers`: with 8 callers, throughput comes from overlapping
+//! requests on the shared socket rather than from more connections, so
+//! per-connection server state stays constant.
+//! Linux-only (the reactor needs epoll).
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
-use swarm_net::{Request, RequestHandler, Response, Runtime, Transport};
+use swarm_net::{Request, RequestHandler, Response, Transport};
 use swarm_types::{ClientId, ServerId};
 
 const CALLS_PER_CALLER: usize = 64;
@@ -33,13 +25,12 @@ impl RequestHandler for FixedData {
     }
 }
 
-fn spawn_server(runtime: Runtime) -> TcpServer {
+fn spawn_server() -> TcpServer {
     TcpServer::spawn_with_config(
         ServerId::new(0),
         "127.0.0.1:0",
         Arc::new(FixedData(vec![7u8; PAYLOAD].into())),
         ServerConfig {
-            runtime,
             workers: 16,
             ..ServerConfig::default()
         },
@@ -68,27 +59,23 @@ fn drive(transport: &Arc<TcpTransport>, callers: usize) {
 }
 
 fn bench_pipelining(c: &mut Criterion) {
-    let mut rows: Vec<(&str, Runtime)> = vec![("blocking", Runtime::Blocking)];
-    if cfg!(target_os = "linux") {
-        rows.push(("mux", Runtime::Epoll));
+    if !cfg!(target_os = "linux") {
+        return;
     }
-    for (label, runtime) in rows {
-        let server = spawn_server(runtime);
-        let transport = Arc::new(TcpTransport::with_servers([(
-            ServerId::new(0),
-            server.addr(),
-        )]));
-        transport.set_runtime(runtime);
-        let mut group = c.benchmark_group(format!("net_pipeline/{label}"));
-        for callers in [1usize, 8] {
-            group.throughput(Throughput::Elements((callers * CALLS_PER_CALLER) as u64));
-            group.sample_size(10);
-            group.bench_function(format!("{callers}_callers"), |b| {
-                b.iter(|| drive(&transport, callers));
-            });
-        }
-        group.finish();
+    let server = spawn_server();
+    let transport = Arc::new(TcpTransport::with_servers([(
+        ServerId::new(0),
+        server.addr(),
+    )]));
+    let mut group = c.benchmark_group("net_pipeline/mux");
+    for callers in [1usize, 8] {
+        group.throughput(Throughput::Elements((callers * CALLS_PER_CALLER) as u64));
+        group.sample_size(10);
+        group.bench_function(format!("{callers}_callers"), |b| {
+            b.iter(|| drive(&transport, callers));
+        });
     }
+    group.finish();
 }
 
 criterion_group!(benches, bench_pipelining);

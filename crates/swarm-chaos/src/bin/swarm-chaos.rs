@@ -34,7 +34,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: swarm-chaos [--seed N | --seeds A..B] \
-[--transport mem|tcp|tcp-blocking|tcp-epoll|all] [--store mem|file|both] \
+[--transport mem|tcp|all] [--store mem|file|both] \
 [--write-window N|both] [--read-window N|both] [--events N] \
 [--servers N] [--clients N] [--geometry K+M[,K+M...]] [--dump] \
 [--dump-failures DIR]";

@@ -23,10 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
-use swarm_net::{
-    FaultHandler, FaultPlan, FaultTransport, MemTransport, RequestHandler, Runtime, Transport,
-};
+use swarm_net::tcp::{TcpServer, TcpTransport};
+use swarm_net::{FaultHandler, FaultPlan, FaultTransport, MemTransport, RequestHandler, Transport};
 use swarm_server::{Durability, FileStore, FragmentStore, MemStore, StorageServer};
 use swarm_types::{Result, ServerId};
 
@@ -35,25 +33,19 @@ use swarm_types::{Result, ServerId};
 pub enum TransportKind {
     /// In-process dispatch ([`MemTransport`]).
     Mem,
-    /// Real sockets ([`TcpTransport`] + one [`TcpServer`] per member),
-    /// with both server and client on the given runtime — so the chaos
-    /// matrix covers the blocking and epoll stacks independently.
-    Tcp(Runtime),
+    /// Real sockets ([`TcpTransport`] + one [`TcpServer`] per member).
+    /// Linux-only: the TCP stack needs epoll.
+    Tcp,
 }
 
 impl TransportKind {
-    /// Real sockets on the platform-default runtime.
-    pub fn tcp() -> TransportKind {
-        TransportKind::Tcp(Runtime::default_for_platform())
-    }
-
     /// Every kind worth running on this platform (the CI matrix).
     pub fn all() -> Vec<TransportKind> {
-        let mut kinds = vec![TransportKind::Mem, TransportKind::Tcp(Runtime::Blocking)];
         if cfg!(target_os = "linux") {
-            kinds.push(TransportKind::Tcp(Runtime::Epoll));
+            vec![TransportKind::Mem, TransportKind::Tcp]
+        } else {
+            vec![TransportKind::Mem]
         }
-        kinds
     }
 }
 
@@ -61,7 +53,7 @@ impl fmt::Display for TransportKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransportKind::Mem => write!(f, "mem"),
-            TransportKind::Tcp(runtime) => write!(f, "tcp-{runtime}"),
+            TransportKind::Tcp => write!(f, "tcp"),
         }
     }
 }
@@ -72,12 +64,8 @@ impl FromStr for TransportKind {
     fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         match s {
             "mem" => Ok(TransportKind::Mem),
-            "tcp" => Ok(TransportKind::tcp()),
-            "tcp-blocking" => Ok(TransportKind::Tcp(Runtime::Blocking)),
-            "tcp-epoll" => Ok(TransportKind::Tcp(Runtime::Epoll)),
-            other => Err(format!(
-                "unknown transport {other:?} (want mem|tcp|tcp-blocking|tcp-epoll)"
-            )),
+            "tcp" => Ok(TransportKind::Tcp),
+            other => Err(format!("unknown transport {other:?} (want mem|tcp)")),
         }
     }
 }
@@ -154,9 +142,6 @@ pub struct Cluster {
     faults: Arc<FaultTransport>,
     tcp: Option<Arc<TcpTransport>>,
     slots: Vec<Slot>,
-    /// Worker-pool width every TCP server (re)spawns with — sized for
-    /// the run's client count, see [`Cluster::new_sized`].
-    workers: usize,
     /// Present for file-backed clusters; removes the store root on drop.
     _store_dir: Option<StoreDir>,
 }
@@ -187,35 +172,6 @@ impl Cluster {
         servers: u32,
         store_kind: StoreKind,
     ) -> Result<Cluster> {
-        Self::new_sized(kind, servers, store_kind, 1)
-    }
-
-    /// Like [`Cluster::new_with_store`], sized for `clients` concurrent
-    /// client logs. The blocking runtime dedicates a server worker to
-    /// every open connection, and each rig keeps a couple of persistent
-    /// connections per server (write engine, read engine, pooled spares),
-    /// so many-client runs need wider pools than the single-client
-    /// default — otherwise fresh dials (recovery checks, verification
-    /// reads) park behind saturated workers and time out, which the
-    /// harness would misreport as lost durability. Epoll multiplexes
-    /// connections off a small pool, so it keeps the default width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`swarm_types::SwarmError::Io`] if a TCP listener cannot
-    /// bind or a file store cannot be created.
-    pub fn new_sized(
-        kind: TransportKind,
-        servers: u32,
-        store_kind: StoreKind,
-        clients: u32,
-    ) -> Result<Cluster> {
-        let workers = match kind {
-            TransportKind::Tcp(Runtime::Blocking) => ServerConfig::default()
-                .workers
-                .max(5 * clients as usize + 16),
-            _ => ServerConfig::default().workers,
-        };
         let store_dir = match store_kind {
             StoreKind::Mem => None,
             StoreKind::File => Some(StoreDir::fresh()),
@@ -256,17 +212,14 @@ impl Cluster {
                     faults,
                     tcp: None,
                     slots,
-                    workers,
                     _store_dir: store_dir,
                 })
             }
-            TransportKind::Tcp(runtime) => {
+            TransportKind::Tcp => {
                 let tcp = Arc::new(TcpTransport::new());
                 // Chaos schedules sever connections on purpose; a short
                 // timeout keeps a lost ack from stalling the run.
                 tcp.set_call_timeout(Some(Duration::from_secs(2)));
-                // Client and server both run the kind's runtime.
-                tcp.set_runtime(runtime);
                 let faults = Arc::new(FaultTransport::new(tcp.clone()));
                 // Truncations cross the wire for real (see TcpServer::
                 // spawn_with_faults) instead of being simulated client-side.
@@ -278,16 +231,11 @@ impl Cluster {
                     let plan = faults.plan(id);
                     let handler: Arc<dyn RequestHandler> =
                         Arc::new(FaultHandler::new(storage.clone(), plan.clone()));
-                    let srv = TcpServer::spawn_with_config(
+                    let srv = TcpServer::spawn_with_faults(
                         id,
                         "127.0.0.1:0",
                         handler,
-                        ServerConfig {
-                            workers,
-                            runtime,
-                            faults: Some(plan.clone()),
-                            ..ServerConfig::default()
-                        },
+                        Some(plan.clone()),
                     )?;
                     tcp.add_server(id, srv.addr());
                     slots.push(Slot {
@@ -303,7 +251,6 @@ impl Cluster {
                     faults,
                     tcp: Some(tcp),
                     slots,
-                    workers,
                     _store_dir: store_dir,
                 })
             }
@@ -356,21 +303,13 @@ impl Cluster {
     pub fn restart(&mut self, index: u32) -> Result<()> {
         let slot = &mut self.slots[index as usize];
         if let Some(tcp) = &self.tcp {
-            let TransportKind::Tcp(runtime) = self.kind else {
-                unreachable!("tcp transport implies a Tcp kind");
-            };
             let handler: Arc<dyn RequestHandler> =
                 Arc::new(FaultHandler::new(slot.storage.clone(), slot.plan.clone()));
-            let srv = TcpServer::spawn_with_config(
+            let srv = TcpServer::spawn_with_faults(
                 slot.id,
                 "127.0.0.1:0",
                 handler,
-                ServerConfig {
-                    workers: self.workers,
-                    runtime,
-                    faults: Some(slot.plan.clone()),
-                    ..ServerConfig::default()
-                },
+                Some(slot.plan.clone()),
             )?;
             tcp.add_server(slot.id, srv.addr());
             slot.tcp_server = Some(srv);

@@ -413,7 +413,7 @@ impl Runner {
         write_window: usize,
         read_window: usize,
     ) -> Result<Runner> {
-        let cluster = Cluster::new_sized(kind, schedule.servers, store, schedule.clients)?;
+        let cluster = Cluster::new_with_store(kind, schedule.servers, store)?;
         let rigs = (1..=schedule.clients)
             .map(|c| {
                 Rig::new(
@@ -907,7 +907,7 @@ mod tests {
             },
             RunOptions {
                 seed: u64::MAX,
-                transport: TransportKind::tcp(),
+                transport: TransportKind::Tcp,
                 store: StoreKind::File,
                 events: 256,
                 servers: 6,

@@ -43,7 +43,7 @@ fn tcp_runs_match_mem_verdict_and_stats() {
         "seed 11 lost acked data on mem: {:?}",
         mem.failures
     );
-    // Both socket runtimes must agree with the in-process baseline.
+    // Real sockets must agree with the in-process baseline.
     for kind in TransportKind::all() {
         if kind == TransportKind::Mem {
             continue;

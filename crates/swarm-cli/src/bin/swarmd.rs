@@ -7,7 +7,6 @@
 //!        [--mem]                 # memory-backed store (testing)
 //!        [--durability MODE]     # strict | group[:millis] | none
 //!        [--no-fsync]            # legacy alias for --durability none
-//!        [--runtime R]           # blocking | epoll (default: epoll on linux)
 //!        [--read-deadline-ms N]  # reap silent connections after N ms
 //!                                # (0 = never; default 30000)
 //! ```
@@ -22,7 +21,6 @@ use std::time::Duration;
 
 use swarm_cli::Args;
 use swarm_net::tcp::{ServerConfig, TcpServer, DEFAULT_READ_DEADLINE};
-use swarm_net::Runtime;
 use swarm_server::{Durability, FileStore, MemStore, StorageServer};
 use swarm_types::ServerId;
 
@@ -41,10 +39,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cache = args.get_u64("cache", 0)? as usize;
 
     let mut config = ServerConfig::default();
-    let runtime = args.get_or("runtime", "");
-    if !runtime.is_empty() {
-        config.runtime = runtime.parse::<Runtime>()?;
-    }
     let deadline_ms = args.get_u64("read-deadline-ms", DEFAULT_READ_DEADLINE.as_millis() as u64)?;
     config.read_deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
 
@@ -78,12 +72,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // The bound address must stay the final token: wrappers (and the
     // integration tests) parse it off the end of this line.
-    println!(
-        "swarmd {} ({} runtime) listening on {}",
-        id.raw(),
-        server.runtime(),
-        server.addr()
-    );
+    println!("swarmd {} listening on {}", id.raw(), server.addr());
     // Flush stdout so wrappers (and the integration tests) can read the
     // bound address immediately.
     use std::io::Write;

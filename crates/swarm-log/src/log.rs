@@ -143,14 +143,14 @@ pub struct LogConfig {
     /// the paper's one-store-per-server pipeline; larger windows exploit
     /// the multiplexed transport and let the server's group commit batch
     /// one client's fsyncs. Clamped to what the connection can pipeline,
-    /// so blocking transports degrade gracefully to 1.
+    /// so synchronous transports degrade gracefully to 1.
     pub write_window: usize,
     /// Outstanding `Read` RPCs the pipelined read engine keeps on the
     /// wire per server (default
     /// [`crate::reader::DEFAULT_READ_WINDOW`]). 1 reproduces the paper's
     /// serial one-read-at-a-time path; larger windows overlap server
     /// seeks with wire transfer on the multiplexed transport. Clamped to
-    /// what the connection can pipeline, so blocking transports degrade
+    /// what the connection can pipeline, so synchronous transports degrade
     /// gracefully to 1.
     pub read_window: usize,
     /// Client-side fragment cache capacity, in fragments (default 16).

@@ -9,7 +9,7 @@
 //!   (`crate::log::LogConfig`) read RPCs stay outstanding per server via
 //!   [`Connection::start_prepared`]/[`PendingCall`], exactly the
 //!   fill/harvest discipline the writer uses for stores. On a multiplexed
-//!   transport the window rides one socket; blocking transports complete
+//!   transport the window rides one socket; synchronous transports complete
 //!   each call inside `start_prepared`, so the window degrades to 1
 //!   transparently (clamped by [`Connection::pipeline_width`]).
 //! * **Batching** — runs of reads against one server collapse into
@@ -148,7 +148,7 @@ impl ReadEngine {
         while !queue.is_empty() || !inflight.is_empty() {
             // Fill: start reads until the window is full. The effective
             // width re-clamps to the live connection each round, so a
-            // blocking transport (pipeline_width 1) degrades to serial.
+            // synchronous transport (pipeline_width 1) degrades to serial.
             loop {
                 if conn.is_none() && !dial_failed {
                     conn = match self.pool.checkout(server) {

@@ -18,7 +18,7 @@
 //! multiplexed transport. A window of 1 reproduces the paper's behavior
 //! exactly (one store in flight per server); larger windows let the
 //! server's group-commit batch one client's fsyncs. Transports without
-//! pipelining (blocking sockets, in-process dispatch) complete each store
+//! pipelining (in-process dispatch) complete each store
 //! inside `start_prepared`, so the window transparently degrades to 1.
 //! Connections come from the log's shared [`ConnectionPool`], so the
 //! write path rides the same per-server channels as reads instead of
@@ -387,7 +387,7 @@ impl ServerWriter {
     }
 
     /// The effective window: the configured limit clamped to what the
-    /// live connection can pipeline (1 on blocking/in-process transports,
+    /// live connection can pipeline (1 on in-process transports,
     /// the mux inflight cap on a multiplexed channel).
     fn width(&self) -> usize {
         match &self.conn {

@@ -98,9 +98,8 @@ fn admission_metrics() -> &'static AdmissionMetrics {
 /// Deficit-round-robin admission gate in front of a [`WorkerPool`].
 ///
 /// See the module docs for the discipline. One `Admission` fronts one
-/// server's pool; the epoll runtime routes every per-request job through
-/// it (the blocking runtime submits whole-connection loops, where
-/// per-request fairness does not apply).
+/// server's pool; the TCP server routes every per-request job through
+/// it.
 pub struct Admission {
     pool: Arc<WorkerPool>,
     cfg: AdmissionConfig,

@@ -29,42 +29,9 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 ///
 /// Returns [`SwarmError::Io`] if the underlying writer fails, or
 /// [`SwarmError::InvalidArgument`] if the payload exceeds [`MAX_FRAME_LEN`].
-pub fn write_frame<W: Write>(w: W, payload: &[u8]) -> Result<()> {
-    write_frame_vectored(w, payload, &[])
-}
-
-/// Writes one frame whose payload is the concatenation `head ++ tail`,
-/// without assembling it contiguously.
-///
-/// This is the zero-copy store path: `head` is the few-dozen-byte message
-/// header encoded by the codec, `tail` is the (possibly megabyte-sized)
-/// fragment payload borrowed from its shared buffer. The frame on the
-/// wire is byte-identical to `write_frame(w, [head, tail].concat())`.
-///
-/// # Errors
-///
-/// Returns [`SwarmError::Io`] if the underlying writer fails, or
-/// [`SwarmError::InvalidArgument`] if the combined payload exceeds
-/// [`MAX_FRAME_LEN`].
-pub fn write_frame_vectored<W: Write>(mut w: W, head: &[u8], tail: &[u8]) -> Result<()> {
-    let len = head.len() + tail.len();
-    if len > MAX_FRAME_LEN {
-        return Err(SwarmError::invalid(format!(
-            "frame payload {len} exceeds {MAX_FRAME_LEN}"
-        )));
-    }
-    let mut crc = Crc32::new();
-    crc.update(head);
-    crc.update(tail);
-    let mut header = [0u8; 12];
-    header[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
-    header[4..8].copy_from_slice(&(len as u32).to_le_bytes());
-    header[8..12].copy_from_slice(&crc.finish().to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(head)?;
-    if !tail.is_empty() {
-        w.write_all(tail)?;
-    }
+pub fn write_frame<W: Write>(mut w: W, payload: &[u8]) -> Result<()> {
+    w.write_all(&frame_header_for(&[payload])?)?;
+    w.write_all(payload)?;
     w.flush()?;
     Ok(())
 }
@@ -72,10 +39,11 @@ pub fn write_frame_vectored<W: Write>(mut w: W, head: &[u8], tail: &[u8]) -> Res
 /// Builds the 12-byte frame header for a payload given as scattered
 /// `parts`, without concatenating them.
 ///
-/// The epoll paths queue frames as segment lists (header `Vec` + shared
-/// payload `Bytes`) and write them with plain non-blocking `write` calls;
-/// this helper produces the exact header `write_frame_vectored` would
-/// have emitted for the same bytes.
+/// The reactor paths queue frames as segment lists (header `Vec` +
+/// shared payload `Bytes`) and write them with plain non-blocking `write`
+/// calls, so a megabyte store payload reaches the socket without being
+/// copied into a contiguous buffer. The header is the one
+/// [`write_frame`] emits for the concatenated bytes.
 ///
 /// # Errors
 ///
@@ -336,25 +304,22 @@ mod tests {
     }
 
     #[test]
-    fn vectored_matches_contiguous_on_the_wire() {
+    fn segmented_header_matches_contiguous_frame() {
         let head = b"header bytes";
         let tail = b"and a payload that follows";
         let mut contiguous = Vec::new();
         write_frame(&mut contiguous, &[&head[..], &tail[..]].concat()).unwrap();
-        let mut vectored = Vec::new();
-        write_frame_vectored(&mut vectored, head, tail).unwrap();
-        assert_eq!(contiguous, vectored);
-        let got = read_frame(Cursor::new(&vectored)).unwrap();
+        let mut segmented = frame_header_for(&[head, tail]).unwrap().to_vec();
+        segmented.extend_from_slice(head);
+        segmented.extend_from_slice(tail);
+        assert_eq!(contiguous, segmented);
+        let got = read_frame(Cursor::new(&segmented)).unwrap();
         assert_eq!(got, [&head[..], &tail[..]].concat());
-    }
-
-    #[test]
-    fn vectored_with_empty_tail_is_plain_frame() {
-        let mut a = Vec::new();
-        write_frame(&mut a, b"solo").unwrap();
-        let mut b = Vec::new();
-        write_frame_vectored(&mut b, b"solo", b"").unwrap();
-        assert_eq!(a, b);
+        // Empty segments contribute nothing.
+        assert_eq!(
+            frame_header_for(&[b"solo", b""]).unwrap(),
+            frame_header_for(&[b"solo"]).unwrap()
+        );
     }
 
     /// A reader that yields its input in `chunk`-byte dribbles with a
@@ -378,17 +343,6 @@ mod tests {
             self.pos += n;
             Ok(n)
         }
-    }
-
-    #[test]
-    fn frame_header_for_matches_write_frame() {
-        let head = b"header";
-        let tail = b"payload bytes";
-        let mut wire = Vec::new();
-        write_frame_vectored(&mut wire, head, tail).unwrap();
-        let header = frame_header_for(&[head, tail]).unwrap();
-        assert_eq!(&wire[..12], &header);
-        assert!(frame_header_for(&[&[0u8; MAX_FRAME_LEN], b"x"]).is_err());
     }
 
     #[test]
@@ -448,10 +402,12 @@ mod tests {
     }
 
     #[test]
-    fn vectored_oversize_is_rejected() {
+    fn oversize_is_rejected_before_writing() {
         let tail = vec![0u8; MAX_FRAME_LEN];
+        let err = frame_header_for(&[b"x", &tail]).unwrap_err();
+        assert!(matches!(err, SwarmError::InvalidArgument(_)), "{err}");
         let mut sink = Vec::new();
-        let err = write_frame_vectored(&mut sink, b"x", &tail).unwrap_err();
+        let err = write_frame(&mut sink, &[&b"x"[..], &tail].concat()).unwrap_err();
         assert!(matches!(err, SwarmError::InvalidArgument(_)), "{err}");
         assert!(sink.is_empty(), "nothing written on reject");
     }

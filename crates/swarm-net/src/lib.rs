@@ -11,9 +11,9 @@
 //!   down, dropped calls). Used by tests, examples, and benchmarks: it is
 //!   the moral equivalent of the paper's switched Ethernet for functional
 //!   purposes.
-//! * [`tcp::TcpTransport`] / [`tcp::TcpServer`] — real sockets via
-//!   `std::net`, served through a bounded [`WorkerPool`], matching the
-//!   prototype's user-level server processes.
+//! * [`tcp::TcpTransport`] / [`tcp::TcpServer`] — real sockets driven by
+//!   an epoll reactor, with handlers run on a bounded [`WorkerPool`],
+//!   matching the prototype's user-level server processes. Linux-only.
 //!
 //! The paper locates stripe neighbours by *broadcast* (§2.3.3). Both
 //! transports expose the member set, and the [`broadcast`] helper simply
@@ -38,7 +38,7 @@ pub mod workpool;
 
 pub use admission::{Admission, AdmissionConfig, Submitted};
 pub use fault::{FaultHandler, FaultPlan, FaultTransport};
-pub use frame::{read_frame, write_frame, write_frame_vectored};
+pub use frame::{frame_header_for, read_frame, write_frame};
 pub use handler::RequestHandler;
 pub use mem::MemTransport;
 pub use pool::ConnectionPool;

@@ -1,18 +1,15 @@
 //! Request-ID multiplexing: many in-flight RPCs on one connection.
 //!
-//! The blocking client dedicates a socket (and a parked thread) to each
-//! in-flight call, which is why the connection pool and the parallel read
-//! engine need several sockets per server. A multiplexed channel carries
-//! any number of concurrent calls on a single socket: each request frame
-//! is prefixed with a 64-bit request id, the server echoes the id on the
-//! response frame, and the channel matches responses to waiting callers
-//! by id — order on the wire no longer matters.
+//! A multiplexed channel carries any number of concurrent calls on a
+//! single socket: each request frame is prefixed with a 64-bit request
+//! id, the server echoes the id on the response frame, and the channel
+//! matches responses to waiting callers by id — order on the wire does
+//! not matter. This is the only TCP session mode.
 //!
-//! Negotiation happens in the handshake. A classic hello frame is exactly
-//! the 4-byte [`ClientId`] encoding; a mux hello is [`MUX_HELLO_MAGIC`]
-//! followed by the client id (8 bytes), which a classic frame can never
-//! be. Servers answer both with the plain [`ServerId`] frame, so either
-//! side can run either runtime.
+//! The handshake opens with a hello frame: [`MUX_HELLO_MAGIC`] followed
+//! by the client's [`ClientId`] (8 bytes). The server answers with the
+//! plain [`ServerId`] frame. Any other hello, including a bare 4-byte
+//! client id, is refused by closing the connection.
 //!
 //! A mux frame payload is `id:u64le ++ message` in both directions.
 
@@ -29,15 +26,13 @@ use swarm_types::{Bytes, ClientId, Decode, Encode, Result, ServerId, SwarmError}
 use crate::frame::{frame_header_for, FrameProgress, FrameReader};
 use crate::reactor::{Ctx, Handle, Ready, Source};
 
-/// First four bytes of a multiplexed hello frame: `"MUX1"` little-endian.
-/// A classic hello is a bare 4-byte client id, so an 8-byte frame opening
-/// with this magic is unambiguous.
+/// First four bytes of a hello frame: `"MUX1"` little-endian.
 pub(crate) const MUX_HELLO_MAGIC: [u8; 4] = *b"MUX1";
 
 /// Length of the request-id prefix on every mux frame payload.
 const MUX_ID_PREFIX: usize = 8;
 
-/// Builds the hello frame payload announcing a multiplexed session.
+/// Builds the hello frame payload that opens a session.
 pub(crate) fn encode_mux_hello(client: ClientId) -> Vec<u8> {
     let mut hello = Vec::with_capacity(8);
     hello.extend_from_slice(&MUX_HELLO_MAGIC);
@@ -47,18 +42,17 @@ pub(crate) fn encode_mux_hello(client: ClientId) -> Vec<u8> {
     hello
 }
 
-/// Decodes a hello frame payload: `(client, is_mux)`.
+/// Decodes a hello frame payload into the client's id.
 ///
 /// # Errors
 ///
-/// Returns a decode error if the frame is neither a classic client-id
-/// hello nor a well-formed mux hello.
-pub(crate) fn parse_hello(frame: &[u8]) -> Result<(ClientId, bool)> {
-    if frame.len() >= 8 && frame[..4] == MUX_HELLO_MAGIC {
-        let client = ClientId::decode_all(&frame[4..])?;
-        return Ok((client, true));
+/// Returns a protocol error if the frame does not open with
+/// [`MUX_HELLO_MAGIC`], or a decode error if the client id is malformed.
+pub(crate) fn parse_hello(frame: &[u8]) -> Result<ClientId> {
+    match frame.strip_prefix(&MUX_HELLO_MAGIC) {
+        Some(client) => ClientId::decode_all(client),
+        None => Err(SwarmError::protocol("hello without the MUX1 magic")),
     }
-    Ok((ClientId::decode_all(frame)?, false))
 }
 
 /// One segment of queued output: either an owned header or a shared
@@ -450,20 +444,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hello_negotiation_roundtrips() {
+    fn hello_roundtrips_and_legacy_hello_is_refused() {
         let mux = encode_mux_hello(ClientId::new(42));
         assert_eq!(mux.len(), 8);
-        let (client, is_mux) = parse_hello(&mux).unwrap();
-        assert_eq!(client, ClientId::new(42));
-        assert!(is_mux);
+        assert_eq!(parse_hello(&mux).unwrap(), ClientId::new(42));
 
         let mut w = swarm_types::ByteWriter::new();
         ClientId::new(7).encode(&mut w);
-        let (client, is_mux) = parse_hello(w.as_slice()).unwrap();
-        assert_eq!(client, ClientId::new(7));
-        assert!(!is_mux, "a bare client id is a classic hello");
-
+        assert!(
+            parse_hello(w.as_slice()).is_err(),
+            "a bare client id (the old classic hello) is refused"
+        );
         assert!(parse_hello(b"garbage that is long").is_err());
+        assert!(parse_hello(b"MUX1 trailing junk").is_err());
     }
 
     #[test]

@@ -548,10 +548,10 @@ impl Request {
     /// `header ++ returned-payload` is byte-identical to
     /// [`Encode::encode`] output — `Encode` is implemented in terms of
     /// this method — so a peer cannot tell which path produced a frame.
-    /// The framing layer sends the two pieces with
-    /// [`crate::frame::write_frame_vectored`], which is how a 1 MB store
-    /// reaches the socket without ever being copied into a contiguous
-    /// message buffer.
+    /// The framing layer queues the two pieces behind one
+    /// [`crate::frame::frame_header_for`] header, which is how a 1 MB
+    /// store reaches the socket without ever being copied into a
+    /// contiguous message buffer.
     pub fn encode_split<'a>(&'a self, w: &mut ByteWriter) -> Option<&'a [u8]> {
         match self {
             Request::Store {

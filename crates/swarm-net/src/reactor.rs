@@ -1,13 +1,13 @@
-//! Readiness-driven event loop: the engine behind the epoll runtime.
+//! Readiness-driven event loop: the engine behind every TCP socket.
 //!
-//! The blocking stack parks one OS thread per connection (server) and per
-//! in-flight RPC (client) — §2.3's "a client talks to its whole stripe
-//! group" costs a thread per member. The [`Reactor`] inverts that: one
-//! thread owns an epoll instance and a set of [`Source`]s (listener,
-//! server connections, multiplexed client channels), each a small state
-//! machine advanced only when its descriptor is ready. Per-connection
-//! state is a few hundred bytes instead of a stack, which is what lets
-//! one server hold thousands of connections.
+//! §2.3's "a client talks to its whole stripe group" would cost a parked
+//! OS thread per connection on a thread-per-connection stack. The
+//! [`Reactor`] instead has one thread own an epoll instance and a set of
+//! [`Source`]s (listener, server connections, multiplexed client
+//! channels), each a small state machine advanced only when its
+//! descriptor is ready. Per-connection state is a few hundred bytes
+//! instead of a stack, which is what lets one server hold thousands of
+//! connections.
 //!
 //! Pieces:
 //!
@@ -18,7 +18,9 @@
 //!   threads use it to say "this connection has a response to write".
 //! * `TimerWheel` — a hashed timing wheel (16 ms ticks) holding at most
 //!   one deadline per source; deadlines drive idle-connection reaping.
-//! * [`Runtime`] — the user-facing `blocking | epoll` selector.
+//!
+//! The reactor needs epoll, so TCP is Linux-only: elsewhere
+//! [`Reactor::new`] fails with `ErrorKind::Unsupported`.
 //!
 //! The reactor thread is the only code that touches sources, so sources
 //! need no internal locking; cross-thread communication happens through
@@ -28,7 +30,6 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -37,45 +38,25 @@ use std::time::{Duration, Instant};
 use epoll::{Epoll, Events, Interest, RawFd, Waker};
 use parking_lot::Mutex;
 
-/// Which I/O engine the TCP transport and server run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The I/O engine behind the TCP transport and server. There is one:
+/// the epoll reactor. The type survives only because the frozen
+/// benchmark names [`ServerConfig::runtime`] and
+/// [`TcpTransport::set_runtime`].
+///
+/// [`ServerConfig::runtime`]: crate::tcp::ServerConfig::runtime
+/// [`TcpTransport::set_runtime`]: crate::tcp::TcpTransport::set_runtime
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Runtime {
-    /// Thread-per-connection `std::net` stack: workers park in blocking
-    /// reads, the client holds one socket per in-flight RPC.
-    Blocking,
     /// Readiness-driven reactor (Linux epoll): a few reactor threads
     /// drive all sockets; the client pipelines RPCs on one connection.
+    #[default]
     Epoll,
-}
-
-impl Runtime {
-    /// The platform default: `Epoll` on Linux, `Blocking` elsewhere.
-    pub fn default_for_platform() -> Runtime {
-        if cfg!(target_os = "linux") {
-            Runtime::Epoll
-        } else {
-            Runtime::Blocking
-        }
-    }
 }
 
 impl std::fmt::Display for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Runtime::Blocking => write!(f, "blocking"),
             Runtime::Epoll => write!(f, "epoll"),
-        }
-    }
-}
-
-impl FromStr for Runtime {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "blocking" => Ok(Runtime::Blocking),
-            "epoll" => Ok(Runtime::Epoll),
-            other => Err(format!("unknown runtime {other:?} (want blocking|epoll)")),
         }
     }
 }
@@ -360,9 +341,17 @@ impl TimerWheel {
 
     /// Advances the wheel to `now`, returning the tokens whose deadline
     /// has passed. Entries from future rounds sharing a slot are kept.
+    ///
+    /// Only slots whose boundary has passed are swept. Slot `t` holds
+    /// deadlines in `((t-1)·TICK, t·TICK]`, so a wakeup inside that range
+    /// (the kernel may return from `epoll_wait` a little early) must leave
+    /// the slot for the next pass; sweeping it would keep the not-yet-due
+    /// entry but move `next_tick` past it, losing it for a whole round.
     fn expired(&mut self, now: Instant) -> Vec<u64> {
         let mut due = Vec::new();
-        let now_tick = self.tick_of(now).saturating_add(1); // process every slot whose boundary passed
+        let elapsed = now.saturating_duration_since(self.start).as_micros();
+        // Exclusive bound: every tick whose boundary is at or before `now`.
+        let now_tick = (elapsed / TICK.as_micros()) as u64 + 1;
         while self.next_tick < now_tick {
             let slot = &mut self.slots[(self.next_tick % SLOTS as u64) as usize];
             if !slot.is_empty() {
@@ -551,14 +540,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn runtime_parses_and_displays() {
-        assert_eq!("blocking".parse::<Runtime>().unwrap(), Runtime::Blocking);
-        assert_eq!("epoll".parse::<Runtime>().unwrap(), Runtime::Epoll);
-        assert!("tokio".parse::<Runtime>().is_err());
+    fn runtime_displays_as_epoll() {
         assert_eq!(Runtime::Epoll.to_string(), "epoll");
-        assert_eq!(Runtime::Blocking.to_string(), "blocking");
-        #[cfg(target_os = "linux")]
-        assert_eq!(Runtime::default_for_platform(), Runtime::Epoll);
+        assert_eq!(Runtime::default(), Runtime::Epoll);
     }
 
     #[test]
@@ -581,6 +565,25 @@ mod tests {
         let due = wheel.expired(t0 + TICK * (SLOTS as u32 + 4));
         assert_eq!(due, vec![3]);
         assert_eq!(wheel.next_timeout(t0), None, "wheel drained");
+    }
+
+    /// Regression: an early wakeup inside the deadline's own slot used to
+    /// sweep that slot, keep the entry, and step past it, so the deadline
+    /// slept a full wheel round (~8 s) instead of firing a tick later.
+    #[test]
+    fn early_wakeup_inside_the_deadline_slot_keeps_the_deadline() {
+        let t0 = Instant::now();
+        let mut wheel = TimerWheel::new(t0);
+        // 70 ms rounds up to tick 5, whose boundary is 80 ms.
+        let deadline = t0 + Duration::from_millis(70);
+        wheel.insert(1, deadline);
+        let early = t0 + Duration::from_millis(69);
+        assert_eq!(wheel.tick_of(early), wheel.tick_of(deadline), "same slot");
+        assert!(wheel.expired(early).is_empty(), "not due yet");
+        let wait = wheel.next_timeout(early).expect("deadline still armed");
+        assert!(wait < TICK, "next wakeup in {wait:?}, not within a tick");
+        assert_eq!(wheel.expired(early + wait), vec![1]);
+        assert_eq!(wheel.next_timeout(early + wait), None, "wheel drained");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Bounded worker pool for serving connections.
+//! Bounded worker pool for running request handlers.
 //!
-//! The original server spawned one OS thread per accepted connection —
-//! unbounded: a burst of clients (or a misbehaving one redialing in a
-//! loop) could exhaust threads and memory. [`WorkerPool`] caps server-side
-//! concurrency at a fixed number of eagerly spawned workers; accepted
-//! connections become jobs on an unbounded queue and wait for a free
-//! worker. Requests from different connections execute truly concurrently
-//! up to the pool width — which is what the sharded store and journal
-//! group commit in `swarm-server` are built to exploit.
+//! [`WorkerPool`] caps server-side concurrency at a fixed number of
+//! eagerly spawned workers. The epoll reactor never runs a handler
+//! itself: each decoded request becomes a job on an unbounded queue
+//! (fronted by [`crate::admission::Admission`]) and waits for a free
+//! worker. Requests execute truly concurrently up to the pool width —
+//! which is what the sharded store and journal group commit in
+//! `swarm-server` are built to exploit.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -21,19 +20,18 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A fixed-width pool of job-running threads.
 ///
 /// Jobs are queued unbounded and executed FIFO by the first free worker.
-/// Dropping the pool closes the queue and joins every worker after it
-/// finishes its current job — callers that need prompt shutdown must
-/// arrange for in-flight jobs to terminate (the TCP server severs its
-/// connections first, which unblocks workers parked in socket reads).
+/// [`WorkerPool::shutdown`] (or dropping the pool) closes the queue and
+/// joins every worker once the jobs already queued have run.
 pub struct WorkerPool {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    sender: parking_lot::RwLock<Option<Sender<Job>>>,
+    workers: parking_lot::Mutex<Vec<JoinHandle<()>>>,
+    width: usize,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.width)
             .finish()
     }
 }
@@ -42,13 +40,13 @@ impl WorkerPool {
     /// Spawns `workers` threads (clamped to at least 1) named
     /// `{name}-{i}`.
     pub fn new(name: &str, workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
+        let width = workers.max(1);
         let (sender, receiver) = std::sync::mpsc::channel::<Job>();
         // std's Receiver is single-consumer; sharing it behind a mutex
         // gives the multi-consumer queue (a worker holds the lock only to
         // dequeue, never while running a job).
         let receiver = Arc::new(Mutex::new(receiver));
-        let handles = (0..workers)
+        let handles = (0..width)
             .map(|i| {
                 let receiver = receiver.clone();
                 std::thread::Builder::new()
@@ -58,23 +56,50 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool {
-            sender: Some(sender),
-            workers: handles,
+            sender: parking_lot::RwLock::new(Some(sender)),
+            workers: parking_lot::Mutex::new(handles),
+            width,
         }
     }
 
     /// Enqueues a job; the first free worker runs it. Returns `false` if
     /// the pool is already shut down (the job is dropped).
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        match &self.sender {
-            Some(s) => s.send(Box::new(job)).is_ok(),
-            None => false,
-        }
+        let job: Job = Box::new(job);
+        let refused = match &*self.sender.read() {
+            Some(s) => match s.send(job) {
+                Ok(()) => return true,
+                Err(e) => e.0,
+            },
+            None => job,
+        };
+        // Dropped outside the lock: a refused job's captures may submit
+        // again from their destructors (the admission gate does).
+        drop(refused);
+        false
     }
 
     /// Number of worker threads.
     pub fn width(&self) -> usize {
-        self.workers.len()
+        self.width
+    }
+
+    /// Closes the queue and joins every worker after the jobs already
+    /// queued have run; later [`WorkerPool::submit`]s are refused.
+    ///
+    /// Callers share the pool through `Arc`s that jobs may capture, so
+    /// the last reference can drop on a worker. That worker is never
+    /// joined (a thread cannot join itself); it exits when its current
+    /// job returns.
+    pub fn shutdown(&self) {
+        drop(self.sender.write().take());
+        let me = std::thread::current().id();
+        let workers = std::mem::take(&mut *self.workers.lock());
+        for h in workers {
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
+        }
     }
 }
 
@@ -104,12 +129,7 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the channel wakes every idle worker with Err; busy ones
-        // exit after their current job.
-        drop(self.sender.take());
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -180,6 +200,31 @@ mod tests {
         );
         let panics_after = swarm_metrics::snapshot().counter("net.workpool_panics");
         assert_eq!(panics_after - panics_before, 3, "each panic is counted");
+    }
+
+    /// A pool whose last reference drops on one of its own workers
+    /// detaches that worker instead of joining it (a self-join panics
+    /// with a deadlock error inside the job).
+    #[test]
+    fn last_reference_dropped_on_a_worker_does_not_self_join() {
+        let pool = Arc::new(WorkerPool::new("test-self-drop", 2));
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let held = pool.clone();
+        pool.submit(move || {
+            // Wait until the test thread has dropped its reference, so
+            // this job's `held` is the last one.
+            let _ = go_rx.recv();
+            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(held)));
+            done_tx.send(dropped.is_ok()).unwrap();
+        });
+        let watch = Arc::downgrade(&pool);
+        drop(pool);
+        assert_eq!(watch.strong_count(), 1, "the job holds the last reference");
+        go_tx.send(()).unwrap();
+        let clean = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(clean, "dropping the pool on its own worker panicked");
+        assert_eq!(watch.strong_count(), 0);
     }
 
     #[test]

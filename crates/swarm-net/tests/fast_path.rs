@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
 use swarm_net::transport::Transport;
-use swarm_net::{PreparedRequest, Request, RequestHandler, Response, Runtime};
+use swarm_net::{PreparedRequest, Request, RequestHandler, Response};
 use swarm_types::{ClientId, FragmentId, ServerId};
 
 /// How long the worker path dawdles per store — the clock the inline
@@ -70,7 +70,6 @@ fn inline_reads_answer_while_a_store_crawls_through_the_workers() {
         "127.0.0.1:0",
         Arc::new(SlowStore::default()),
         ServerConfig {
-            runtime: Runtime::Epoll,
             workers: 2,
             ..ServerConfig::default()
         },

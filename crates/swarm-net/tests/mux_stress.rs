@@ -1,4 +1,4 @@
-//! Integration stress for the epoll runtime: request-id multiplexing
+//! Integration stress for the TCP stack: request-id multiplexing
 //! under random pipelined interleavings, and a server holding 1000
 //! concurrent connections. Linux-only — the reactor needs epoll.
 
@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
 use swarm_net::transport::Transport;
-use swarm_net::{Request, RequestHandler, Response, Runtime};
+use swarm_net::{Request, RequestHandler, Response};
 use swarm_types::{ClientId, FragmentId, ServerId};
 
 /// Minimal in-memory fragment store: enough Store/Read/Ping to exercise
@@ -50,7 +50,6 @@ fn epoll_server(id: u32, workers: usize) -> TcpServer {
         "127.0.0.1:0",
         Arc::new(MapStore::default()),
         ServerConfig {
-            runtime: Runtime::Epoll,
             workers,
             ..ServerConfig::default()
         },
@@ -198,9 +197,8 @@ fn epoll_server_handles_1000_concurrent_connections() {
 
     let server = epoll_server(2, 8);
     let transport = TcpTransport::with_servers([(ServerId::new(2), server.addr())]);
-    // Blocking client runtime: every connection is a real socket, so the
-    // server genuinely holds 1000 of them (the mux client would share 1).
-    transport.set_runtime(Runtime::Blocking);
+    // One mux socket per (server, client) pair: 1000 distinct client ids
+    // make the server genuinely hold 1000 sockets.
     transport.set_call_timeout(Some(Duration::from_secs(60)));
 
     let mut conns = Vec::with_capacity(CONNS);
@@ -211,6 +209,7 @@ fn epoll_server_handles_1000_concurrent_connections() {
         assert_eq!(conn.call(&Request::Ping).expect("first ping"), Response::Ok);
         conns.push(conn);
     }
+    assert_eq!(transport.mux_channels(), CONNS, "one socket per client");
     // All 1000 are open simultaneously; every single one is still served.
     for (i, conn) in conns.iter_mut().enumerate() {
         assert_eq!(

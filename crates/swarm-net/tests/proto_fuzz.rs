@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use swarm_net::{
-    read_frame, write_frame, write_frame_vectored, Request, Response, ServerStats, StoreRange,
+    frame_header_for, read_frame, write_frame, Request, Response, ServerStats, StoreRange,
 };
 use swarm_types::{Aid, ByteWriter, ClientId, Decode, Encode, FragmentId};
 
@@ -91,13 +91,14 @@ fn arb_response() -> impl Strategy<Value = Response> {
 }
 
 /// Frames `msg` both ways — the contiguous path (`write_frame` over
-/// `encode_to_vec`) and the vectored path (`encode_split` header + payload
-/// through `write_frame_vectored`) — and asserts identical wire bytes.
+/// `encode_to_vec`) and the segmented path (`encode_split` header +
+/// payload behind `frame_header_for`) — and asserts identical wire bytes.
 fn assert_vectored_framing_identical(header: &[u8], payload: &[u8], contiguous: &[u8]) {
     let mut old_wire = Vec::new();
     write_frame(&mut old_wire, contiguous).unwrap();
-    let mut new_wire = Vec::new();
-    write_frame_vectored(&mut new_wire, header, payload).unwrap();
+    let mut new_wire = frame_header_for(&[header, payload]).unwrap().to_vec();
+    new_wire.extend_from_slice(header);
+    new_wire.extend_from_slice(payload);
     assert_eq!(old_wire, new_wire);
 }
 

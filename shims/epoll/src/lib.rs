@@ -11,8 +11,10 @@
 //! re-arms interest explicitly, which keeps the state machines auditable.
 //!
 //! On non-Linux targets the same API compiles but every constructor
-//! returns `ErrorKind::Unsupported`; callers fall back to the blocking
-//! stack (see `swarm_net::reactor::Runtime::default_for_platform`).
+//! returns `ErrorKind::Unsupported`. There is no fallback: that error
+//! surfaces from `swarm_net`'s `TcpServer::spawn*` and
+//! `TcpTransport::connect`, so TCP is Linux-only, while the in-process
+//! `MemTransport` works everywhere.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
