@@ -1,11 +1,15 @@
-//! Word-wide kernel benchmarks: the slice-by-8 CRC32, the u64-wide
-//! parity XOR, and the SWAR GF(2^8) Reed–Solomon multiply-fold against
-//! their byte-at-a-time baselines, plus a full 4+2 two-erasure decode and
+//! Kernel benchmarks: the CRC32 kernels, the u64-wide parity XOR, and
+//! the SWAR GF(2^8) Reed–Solomon multiply-fold against their
+//! byte-at-a-time baselines, plus a full 4+2 two-erasure decode and
 //! end-to-end store throughput over the zero-copy request path.
 //!
 //! The baselines (`crc32_baseline`, `xor_into_baseline`) are the exact
-//! scalar loops the optimized kernels replaced; the ratio between the two
-//! rows of each group is the kernel speedup.
+//! scalar loops the optimized kernels replaced; the ratio between the
+//! rows of each group is the kernel speedup. `crc32_1MB` has three rows:
+//! `dispatched` is `swarm_types::crc32` as every caller runs it (the
+//! carry-less-multiply fold where the CPU has `pclmulqdq`, slice-by-8
+//! otherwise), `slice_by_8` is the portable fallback alone, and
+//! `baseline_bytewise` the one-table loop.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use swarm_bench::mem_cluster;
@@ -16,12 +20,15 @@ const MB: usize = 1_000_000;
 const MIB: usize = 1 << 20;
 
 fn bench_crc32(c: &mut Criterion) {
-    use swarm_types::{crc::crc32_baseline, crc32};
+    use swarm_types::crc::{crc32_baseline, crc32_slice_by_8};
+    use swarm_types::crc32;
     let buf: Vec<u8> = (0..MB).map(|i| (i % 251) as u8).collect();
     assert_eq!(crc32(&buf), crc32_baseline(&buf));
+    assert_eq!(crc32_slice_by_8(&buf), crc32_baseline(&buf));
     let mut g = c.benchmark_group("crc32_1MB");
     g.throughput(Throughput::Bytes(MB as u64));
-    g.bench_function("slice_by_8", |b| b.iter(|| crc32(&buf)));
+    g.bench_function("dispatched", |b| b.iter(|| crc32(&buf)));
+    g.bench_function("slice_by_8", |b| b.iter(|| crc32_slice_by_8(&buf)));
     g.bench_function("baseline_bytewise", |b| b.iter(|| crc32_baseline(&buf)));
     g.finish();
 }

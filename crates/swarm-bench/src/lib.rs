@@ -91,12 +91,20 @@ mod tests {
     /// so CI catches a broken kernel without running the benches.
     #[test]
     fn crc_kernel_matches_baseline() {
-        use swarm_types::{crc::crc32_baseline, crc32};
+        use swarm_types::crc::{crc32_baseline, crc32_slice_by_8};
+        use swarm_types::crc32;
         let buf: Vec<u8> = (0..4099u32).map(|i| (i * 31 % 256) as u8).collect();
         for start in [0usize, 1, 3, 7] {
-            assert_eq!(crc32(&buf[start..]), crc32_baseline(&buf[start..]));
+            let want = crc32_baseline(&buf[start..]);
+            assert_eq!(crc32(&buf[start..]), want, "dispatched, start {start}");
+            assert_eq!(
+                crc32_slice_by_8(&buf[start..]),
+                want,
+                "slice-by-8, start {start}"
+            );
         }
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32_slice_by_8(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]

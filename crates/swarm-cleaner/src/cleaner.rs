@@ -257,11 +257,12 @@ impl Cleaner {
             .all(|lb| self.stack.contains(lb.service))
     }
 
-    fn cleanable(&self, usage: &StripeUsage, width: u8) -> bool {
+    fn cleanable(&self, usage: &StripeUsage, table: &UsageTable) -> bool {
         self.owners_present(usage)
-            && self.below_anchor(usage, width)
+            && self.below_anchor(usage, table.width)
             && !self.blocked_by_records(usage)
             && !self.is_anchor(usage)
+            && !table.pins_deleted_blocks(usage)
     }
 
     /// Runs one cleaning pass, reclaiming at most `max_stripes` stripes.
@@ -284,16 +285,15 @@ impl Cleaner {
         let mut attempt = 0;
         loop {
             let select_span = m.select_us.span("cleaner.select");
-            let table = UsageTable::scan(&self.log, 0)?;
-            let newest = table.stripes.keys().next_back().copied().unwrap_or(0);
             let cleaned_set: HashSet<u64> = self.cleaned.lock().clone();
+            let table = UsageTable::scan(&self.log, 0, &cleaned_set)?;
+            let newest = table.stripes.keys().next_back().copied().unwrap_or(0);
             let candidates: Vec<&StripeUsage> = table
                 .stripes
                 .values()
-                .filter(|s| !cleaned_set.contains(&s.first_seq))
                 // Never clean the stripe currently being appended to.
                 .filter(|s| s.first_seq + table.width as u64 <= self.log.next_seq())
-                .filter(|s| self.cleanable(s, table.width))
+                .filter(|s| self.cleanable(s, &table))
                 .collect();
             drop(select_span);
             if candidates.is_empty() {
@@ -303,20 +303,16 @@ impl Cleaner {
                 // but not when the only blocked stripe is the live
                 // checkpoint anchor (forcing there would churn a fresh
                 // anchor stripe every pass).
-                let starved = table
-                    .stripes
-                    .values()
-                    .filter(|s| !cleaned_set.contains(&s.first_seq))
-                    .any(|s| {
-                        if self.blocked_by_records(s) {
-                            return true;
-                        }
-                        let complete = s.first_seq + table.width as u64 <= self.log.next_seq();
-                        complete
-                            && self.owners_present(s)
-                            && !self.is_anchor(s)
-                            && !self.below_anchor(s, table.width)
-                    });
+                let starved = table.stripes.values().any(|s| {
+                    if self.blocked_by_records(s) {
+                        return true;
+                    }
+                    let complete = s.first_seq + table.width as u64 <= self.log.next_seq();
+                    complete
+                        && self.owners_present(s)
+                        && !self.is_anchor(s)
+                        && !self.below_anchor(s, table.width)
+                });
                 if attempt == 0 && starved {
                     swarm_metrics::trace!("cleaner", "no cleanable stripes; forcing checkpoints");
                     self.stack.checkpoint_all(&self.log)?;
@@ -479,7 +475,7 @@ pub(crate) mod tests_support {
     use super::*;
     use parking_lot::Mutex as PMutex;
     use swarm_log::{Log, LogConfig, ReplayEntry};
-    use swarm_net::MemTransport;
+    use swarm_net::{MemTransport, Request, RequestHandler, Response};
     use swarm_server::{FragmentStore, MemStore, StorageServer};
     use swarm_services::Service;
     use swarm_types::{BlockAddr, ClientId, ServerId, SwarmError};
@@ -491,6 +487,9 @@ pub(crate) mod tests_support {
     pub struct BlockOwner {
         pub blocks: std::collections::HashMap<Vec<u8>, BlockAddr>,
         pub moves: u64,
+        /// Creation tag of every move notification received, known or
+        /// not.
+        pub moved_tags: Vec<Vec<u8>>,
     }
 
     impl Service for BlockOwner {
@@ -507,6 +506,7 @@ pub(crate) mod tests_support {
             Ok(())
         }
         fn block_moved(&mut self, old: BlockAddr, new: BlockAddr, create: &[u8]) -> Result<()> {
+            self.moved_tags.push(create.to_vec());
             match self.blocks.get_mut(create) {
                 Some(addr) if *addr == old => {
                     *addr = new;
@@ -522,19 +522,44 @@ pub(crate) mod tests_support {
         }
     }
 
+    /// Forwards to a storage server, noting the fragment of every
+    /// `Locate` it is asked.
+    struct LocateLog {
+        server: Arc<StorageServer<MemStore>>,
+        locates: Arc<PMutex<Vec<FragmentId>>>,
+    }
+
+    impl RequestHandler for LocateLog {
+        fn handle(&self, client: ClientId, request: Request) -> Response {
+            if let Request::Locate { fid, .. } = &request {
+                self.locates.lock().push(*fid);
+            }
+            self.server.handle(client, request)
+        }
+    }
+
     pub struct Fixture {
         pub log: Arc<Log>,
         pub stack: Arc<ServiceStack>,
         pub owner: Arc<PMutex<BlockOwner>>,
         pub servers: Vec<Arc<StorageServer<MemStore>>>,
+        /// Fragments named by `Locate` requests, across all servers.
+        pub locates: Arc<PMutex<Vec<FragmentId>>>,
     }
 
     pub fn fixture(n_servers: u32) -> Fixture {
         let transport = Arc::new(MemTransport::new());
         let mut servers = Vec::new();
+        let locates = Arc::new(PMutex::new(Vec::new()));
         for i in 0..n_servers {
             let srv = StorageServer::new(ServerId::new(i), MemStore::new()).into_shared();
-            transport.register(ServerId::new(i), srv.clone());
+            transport.register(
+                ServerId::new(i),
+                Arc::new(LocateLog {
+                    server: srv.clone(),
+                    locates: locates.clone(),
+                }),
+            );
             servers.push(srv);
         }
         let config = LogConfig::new(
@@ -554,6 +579,7 @@ pub(crate) mod tests_support {
             stack: Arc::new(stack),
             owner,
             servers,
+            locates,
         }
     }
 
@@ -757,7 +783,7 @@ mod tests {
             cleaner.cleaned_stripes()
         );
         // The orphan's data is still there.
-        let table = UsageTable::scan(&f.log, 0).unwrap();
+        let table = UsageTable::scan(&f.log, 0, &HashSet::new()).unwrap();
         assert!(table.stripes.get(&0).is_some_and(|s| s.live_bytes == 1500));
     }
 
@@ -813,6 +839,68 @@ mod tests {
             0,
             "nothing new to clean: {s2:?} (cleaned: {:?})",
             cleaner.cleaned_stripes()
+        );
+    }
+
+    #[test]
+    fn deleted_block_is_not_moved_after_its_delete_stripe_is_reclaimed() {
+        let f = fixture(3);
+        let a = write_block(&f, b"a", 1500);
+        write_block(&f, b"l", 1500);
+        f.log.flush().unwrap(); // stripe 0: a (soon dead) and l (live)
+        f.log.delete_block(SVC, a).unwrap();
+        f.owner.lock().blocks.remove(b"a".as_slice());
+        f.log.flush().unwrap(); // stripe 1: only the delete of a
+        f.log.checkpoint(SVC, b"ckpt").unwrap(); // stripe 2: anchor
+
+        // Greedy ranks the empty delete stripe first. Cleaning it before
+        // stripe 0 would erase the only record that a is dead, and a
+        // later pass would "move" a back to life.
+        let cleaner = Cleaner::new(f.log.clone(), f.stack.clone(), CleanPolicy::Greedy);
+        let mut cleaned = 0;
+        for _ in 0..4 {
+            cleaned += cleaner.clean_pass(1).unwrap().stripes_cleaned;
+        }
+        assert!(
+            cleaned >= 2,
+            "both old stripes reclaimed: {:?}",
+            cleaner.cleaned_stripes()
+        );
+        let owner = f.owner.lock();
+        assert!(
+            !owner.moved_tags.contains(&b"a".to_vec()),
+            "deleted block moved: {:?}",
+            owner.moved_tags
+        );
+        let l = owner.blocks[&b"l".to_vec()];
+        assert_eq!(f.log.read(l).unwrap(), vec![b'l'; 1500]);
+    }
+
+    #[test]
+    fn second_pass_sends_no_locate_for_reclaimed_fragments() {
+        let f = fixture(3);
+        let a = write_block(&f, b"a", 1500);
+        let b = write_block(&f, b"b", 1500);
+        f.log.flush().unwrap(); // stripe 0: both blocks, soon dead
+        f.log.delete_block(SVC, a).unwrap();
+        f.log.delete_block(SVC, b).unwrap();
+        f.log.checkpoint(SVC, b"ckpt").unwrap(); // stripe 1: deletes + anchor
+        let cleaner = Cleaner::new(f.log.clone(), f.stack.clone(), CleanPolicy::Greedy);
+        assert_eq!(cleaner.clean_pass(16).unwrap().stripes_cleaned, 1);
+        let width = f.log.group().width() as u64;
+        let reclaimed: Vec<FragmentId> = cleaner
+            .cleaned_stripes()
+            .into_iter()
+            .flat_map(|first| {
+                (first..first + width).map(|seq| FragmentId::new(f.log.client(), seq))
+            })
+            .collect();
+        f.locates.lock().clear();
+        assert_eq!(cleaner.clean_pass(16).unwrap().stripes_cleaned, 0);
+        let locates = f.locates.lock().clone();
+        assert!(
+            !locates.iter().any(|fid| reclaimed.contains(fid)),
+            "second pass located reclaimed fragments: {locates:?}"
         );
     }
 }

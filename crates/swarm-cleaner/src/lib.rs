@@ -16,7 +16,9 @@
 //! every record in it is obsolete — older than its service's newest
 //! checkpoint — because newer records would be needed by crash replay.
 //! When nothing is cleanable, the cleaner applies the paper's remedy and
-//! *demands* checkpoints from all services.
+//! *demands* checkpoints from all services. A stripe holding a `Delete`
+//! also waits until the older stripe holding the deleted block is gone:
+//! the delete record is the only proof that the block is dead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! checkpoint is folded into per-stripe accounting, from which the cleaner
 //! chooses victims.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use swarm_log::{Entry, Log, LogPosition};
 use swarm_types::{BlockAddr, Result, ServiceId};
@@ -39,6 +39,9 @@ pub struct StripeUsage {
     pub record_services: HashMap<ServiceId, LogPosition>,
     /// Positions of checkpoint entries in this stripe, per service.
     pub checkpoints: HashMap<ServiceId, LogPosition>,
+    /// First sequence numbers of the stripes holding blocks that this
+    /// stripe's `Delete` records kill.
+    pub delete_targets: BTreeSet<u64>,
 }
 
 impl StripeUsage {
@@ -65,14 +68,16 @@ pub struct UsageTable {
 
 impl UsageTable {
     /// Builds the table by scanning the log from sequence `floor` to the
-    /// log's current head, skipping already-reclaimed stripes.
+    /// log's current head. Stripes whose first sequence is in `reclaimed`
+    /// are skipped without a single read: their fragments are gone, so
+    /// fetching them would only cost a failed Locate broadcast each.
     ///
     /// # Errors
     ///
     /// Propagates read failures (a fragment that is neither present nor
     /// reconstructible mid-scan is an error — the cleaner must not treat
     /// data loss as free space).
-    pub fn scan(log: &Log, floor: u64) -> Result<UsageTable> {
+    pub fn scan(log: &Log, floor: u64, reclaimed: &HashSet<u64>) -> Result<UsageTable> {
         let width = log.group().width();
         let end_seq = log.next_seq();
         let mut table = UsageTable {
@@ -88,6 +93,10 @@ impl UsageTable {
         let mut seq = floor;
         while seq < end_seq {
             let stripe_first = (seq / width as u64) * width as u64;
+            if reclaimed.contains(&stripe_first) {
+                seq = stripe_first + width as u64;
+                continue;
+            }
             let Some(view) =
                 log.fetch_fragment_view(swarm_types::FragmentId::new(log.client(), seq))?
             else {
@@ -117,6 +126,9 @@ impl UsageTable {
                     }
                     Entry::Delete { addr, service } => {
                         deleted.insert(*addr);
+                        usage
+                            .delete_targets
+                            .insert((addr.fid.seq() / width as u64) * width as u64);
                         usage
                             .record_services
                             .entry(*service)
@@ -160,6 +172,20 @@ impl UsageTable {
         Ok(table)
     }
 
+    /// Does `usage` hold a `Delete` whose target block sits in an older
+    /// stripe that is still in the table?
+    ///
+    /// Such a stripe must outlive its target: a scan learns deletions
+    /// only from stripes that exist, so reclaiming the delete first would
+    /// bring the dead block back to life and the cleaner would move it
+    /// again.
+    pub fn pins_deleted_blocks(&self, usage: &StripeUsage) -> bool {
+        usage
+            .delete_targets
+            .iter()
+            .any(|t| *t < usage.first_seq && self.stripes.contains_key(t))
+    }
+
     /// Total bytes stored across scanned stripes.
     pub fn stored_bytes(&self) -> u64 {
         self.stripes.values().map(|s| s.stored_bytes).sum()
@@ -197,7 +223,7 @@ mod tests {
     #[test]
     fn empty_log_scans_empty() {
         let log = make_log();
-        let table = UsageTable::scan(&log, 0).unwrap();
+        let table = UsageTable::scan(&log, 0, &HashSet::new()).unwrap();
         assert!(table.stripes.is_empty());
         assert_eq!(table.end_seq, 0);
     }
@@ -209,7 +235,7 @@ mod tests {
         let b = log.append_block(SVC, b"b", &[2u8; 400]).unwrap();
         log.delete_block(SVC, a).unwrap();
         log.flush().unwrap();
-        let table = UsageTable::scan(&log, 0).unwrap();
+        let table = UsageTable::scan(&log, 0, &HashSet::new()).unwrap();
         assert_eq!(table.live_bytes(), 400, "only b is live");
         let live: Vec<&LiveBlock> = table
             .stripes
@@ -231,7 +257,7 @@ mod tests {
         }
         log.delete_block(SVC, a).unwrap();
         log.flush().unwrap();
-        let table = UsageTable::scan(&log, 0).unwrap();
+        let table = UsageTable::scan(&log, 0, &HashSet::new()).unwrap();
         let first_stripe = table.stripes.values().next().unwrap();
         assert!(
             !first_stripe.live_blocks.iter().any(|lb| lb.addr == a),
@@ -244,7 +270,7 @@ mod tests {
         let log = make_log();
         log.append_record(SVC, 7, b"record").unwrap();
         log.checkpoint(SVC, b"ckpt").unwrap();
-        let table = UsageTable::scan(&log, 0).unwrap();
+        let table = UsageTable::scan(&log, 0, &HashSet::new()).unwrap();
         let with_records: Vec<&StripeUsage> = table
             .stripes
             .values()

@@ -1,13 +1,24 @@
-//! CRC32 (IEEE 802.3 polynomial), used to checksum fragment headers,
-//! entry tables, and network frames.
+//! CRC32 (IEEE 802.3 polynomial), used to checksum fragment headers and
+//! bodies, parity, entry tables, network frames and journal records.
 //!
 //! Implemented in-repo because Swarm defines its own on-disk format and
-//! the workspace keeps its dependency set minimal. Slice-by-8: eight
-//! precomputed tables let the hot loop fold one 64-bit word per step
-//! instead of one byte, which matters because every network frame CRCs
-//! its whole payload — at 1 MB fragments the checksum would otherwise
-//! show up next to the parity XOR in profiles. The tables are built by
-//! `const fn`, so there is no build script and no lazy initialization.
+//! the workspace keeps its dependency set minimal. Every byte the system
+//! moves is checksummed several times (sealed fragment, wire frame on
+//! both ends, reconstruction), so the kernel runs at two speeds:
+//!
+//! - **Carry-less-multiply folding** (`shims/simd::crc32_fold`): on
+//!   x86-64 CPUs with `pclmulqdq` and SSE4.1, inputs of 64 bytes or more
+//!   are folded 64 bytes per step in four 128-bit lanes and reduced with
+//!   a Barrett step — close to memory speed. CPU support is detected at
+//!   run time; nothing selects the path.
+//! - **Slice-by-8**: eight precomputed tables fold one 64-bit word per
+//!   step. It finishes the folding kernel's tail (under 16 bytes), and
+//!   handles short inputs and every input on other CPUs and targets.
+//!
+//! Both produce the same value bit for bit as the byte-at-a-time
+//! definition ([`crc32_baseline`]), so the choice never shows in any
+//! stored or transmitted checksum. The tables are built by `const fn`,
+//! so there is no build script and no lazy initialization.
 
 /// The IEEE CRC32 polynomial in reversed bit order.
 const POLY: u32 = 0xedb8_8320;
@@ -97,7 +108,14 @@ impl Crc32 {
     }
 }
 
-fn update(mut state: u32, data: &[u8]) -> u32 {
+/// Advances the raw CRC register over `data`: the folding kernel takes
+/// as much as it can, slice-by-8 finishes the rest.
+fn update(state: u32, data: &[u8]) -> u32 {
+    let (state, done) = simd::crc32_fold(state, data);
+    update_slice_by_8(state, &data[done..])
+}
+
+fn update_slice_by_8(mut state: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         // Fold the running state into the low word, then look all eight
@@ -120,11 +138,23 @@ fn update(mut state: u32, data: &[u8]) -> u32 {
     state
 }
 
-/// Reference byte-at-a-time CRC32, kept for benchmarks and as a
-/// cross-check oracle for the slice-by-8 kernel.
+/// CRC32 through the portable slice-by-8 kernel alone, bypassing the
+/// carry-less-multiply path.
 ///
-/// Not used on any hot path; `swarm-bench` measures [`crc32`] against it
-/// and the kernel sanity tests assert they agree.
+/// Not used on any hot path: it keeps the fallback that other CPUs and
+/// targets run covered by tests and benchmarks on hosts where [`crc32`]
+/// dispatches to the folding kernel.
+#[doc(hidden)]
+pub fn crc32_slice_by_8(data: &[u8]) -> u32 {
+    update_slice_by_8(0xffff_ffff, data) ^ 0xffff_ffff
+}
+
+/// Reference byte-at-a-time CRC32, kept for benchmarks and as a
+/// cross-check oracle for both kernels.
+///
+/// Not used on any hot path; `swarm-bench` measures [`crc32`] and
+/// [`crc32_slice_by_8`] against it and the kernel sanity tests assert
+/// they agree.
 #[doc(hidden)]
 pub fn crc32_baseline(data: &[u8]) -> u32 {
     let mut state = 0xffff_ffffu32;
@@ -173,16 +203,88 @@ mod tests {
         assert_eq!(Crc32::new().finish(), 0);
     }
 
-    /// Quick-mode kernel sanity: slice-by-8 agrees with the byte-at-a-time
-    /// oracle at every alignment and length around the 8-byte boundaries.
+    /// Deterministic, non-repeating test bytes.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect()
+    }
+
+    /// The portable kernel alone agrees with the byte-at-a-time oracle at
+    /// every alignment and length around the 8-byte boundaries.
     #[test]
     fn slice_by_8_matches_baseline_at_all_alignments() {
         let data: Vec<u8> = (0..257u32).map(|i| (i * 31 % 251) as u8).collect();
         for start in 0..9 {
             for end in start..data.len() {
                 let s = &data[start..end];
-                assert_eq!(crc32(s), crc32_baseline(s), "range {start}..{end}");
+                assert_eq!(
+                    crc32_slice_by_8(s),
+                    crc32_baseline(s),
+                    "range {start}..{end}"
+                );
             }
+        }
+    }
+
+    /// The dispatched kernel agrees with the oracle at every start offset
+    /// in a cache line and every length up to 300 bytes, which spans the
+    /// 64-byte floor of the folding kernel, its 16-byte lane steps and
+    /// the slice-by-8 tail.
+    #[test]
+    fn crc32_matches_baseline_at_every_offset_and_length() {
+        let data = pattern(64 + 300);
+        for start in 0..64 {
+            for len in 0..=300 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_baseline(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    /// Lengths on both sides of the fold boundaries, at sizes where the
+    /// four-lane loop runs several times.
+    #[test]
+    fn crc32_matches_baseline_around_fold_boundaries() {
+        let data = pattern(4096 + 64);
+        for base in [64usize, 128, 1024, 4096] {
+            for len in base - 17..=base + 17 {
+                for start in [0usize, 3, 8] {
+                    let s = &data[start..start + len];
+                    assert_eq!(crc32(s), crc32_baseline(s), "start {start} len {len}");
+                }
+            }
+        }
+    }
+
+    /// A full fragment-sized body with an odd tail.
+    #[test]
+    fn crc32_matches_baseline_on_a_mebibyte_plus_seven() {
+        let data = pattern((1 << 20) + 7);
+        let want = crc32_baseline(&data);
+        assert_eq!(crc32(&data), want);
+        assert_eq!(crc32_slice_by_8(&data), want);
+        assert_eq!(crc32(&data[1..]), crc32_baseline(&data[1..]));
+    }
+
+    proptest::proptest! {
+        /// Splitting the input anywhere and feeding the pieces through
+        /// [`Crc32::update`] gives the one-shot value: the folding kernel
+        /// hands its register to slice-by-8 and back without loss.
+        #[test]
+        fn prop_incremental_matches_oneshot_at_any_split(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+            cuts in proptest::collection::vec(0usize..4096, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut inc = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                inc.update(&data[at..cut]);
+                at = cut;
+            }
+            proptest::prop_assert_eq!(inc.finish(), crc32_baseline(&data));
         }
     }
 }
